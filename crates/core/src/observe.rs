@@ -10,6 +10,7 @@
 //! a fresh per-node registry, the fabric into another, and the snapshots
 //! merge into one rack-level view with deterministic JSON and digest.
 
+use crate::batch::BatchOp;
 use crate::migrate::MigrationReport;
 use crate::placement::DomainLevel;
 use crate::pool::{LogicalPool, PoolAccess};
@@ -129,13 +130,14 @@ impl PoolTelemetry {
         &mut self,
         now: SimTime,
         requester: NodeId,
-        ops: &[(MemOp, PoolAccess)],
+        ops: &[BatchOp],
+        accesses: &[PoolAccess],
         dram_done: SimTime,
         complete: SimTime,
     ) {
         let mut remote_bytes = 0;
-        for (op, access) in ops {
-            match op {
+        for (o, access) in ops.iter().zip(accesses) {
+            match o.op {
                 MemOp::Read => self.registry.inc(self.ops_read),
                 MemOp::Write => self.registry.inc(self.ops_write),
             }

@@ -12,7 +12,7 @@ use crate::batch::{BatchOp, BatchResult};
 use crate::observe::PoolTelemetry;
 use crate::translate::{GlobalMap, LocalMap, SegmentLoc, TranslationCache};
 use lmp_fabric::{Fabric, FabricError, MemOp, NodeId};
-use lmp_mem::{DramProfile, MemoryNode, RegionKind, FRAME_BYTES};
+use lmp_mem::{DramProfile, FrameId, MemoryNode, RegionKind, FRAME_BYTES};
 use lmp_qos::{AdmissionController, Band, TenantId, TenantRate};
 use lmp_sim::prelude::*;
 use std::collections::BTreeMap;
@@ -164,6 +164,55 @@ pub struct LogicalPool {
     remote_accesses: Counter,
     telemetry: Option<Box<PoolTelemetry>>,
     qos: Option<Box<PoolQos>>,
+    batch_scratch: BatchScratch,
+}
+
+/// Buffers [`LogicalPool::access_batch_banded`] reuses from call to call,
+/// so a steady stream of accesses allocates only the result it returns.
+/// Each buffer is cleared before use; capacity grows to the largest batch
+/// seen.
+#[derive(Debug, Default)]
+struct BatchScratch {
+    /// Holder of each distinct segment in the batch, sorted by segment.
+    locs: Vec<(SegmentId, SegmentLoc)>,
+    /// Every frame chunk of the batch, sorted into streams.
+    chunks: Vec<Chunk>,
+    /// `chunks[i].frame` for every `i`, so a run's frames are one slice.
+    frames: Vec<FrameId>,
+    /// Coalesced runs of the stream being committed.
+    runs: Vec<Run>,
+    /// Run sizes handed to the fabric.
+    sizes: Vec<u64>,
+    /// Distinct ops carried by the stream being committed.
+    stream_ops: Vec<usize>,
+}
+
+/// One frame-sized piece of one batch op.
+#[derive(Debug, Clone, Copy)]
+struct Chunk {
+    holder: u32,
+    write: bool,
+    seg: SegmentId,
+    /// Byte offset within the segment (for adjacency detection).
+    start: u64,
+    op: usize,
+    bytes: u64,
+    frame: FrameId,
+}
+
+/// Byte-contiguous chunks `chunks[lo..hi]` of one stream, coalesced into
+/// one DRAM occupancy and one fabric transfer.
+#[derive(Debug, Clone, Copy)]
+struct Run {
+    seg: SegmentId,
+    end: u64,
+    bytes: u64,
+    lo: usize,
+    hi: usize,
+    /// When the run's DRAM occupancy completes...
+    dram: SimTime,
+    /// ...and when it completes at the requester (fabric included).
+    done: SimTime,
 }
 
 impl LogicalPool {
@@ -209,6 +258,7 @@ impl LogicalPool {
             remote_accesses: Counter::new(),
             telemetry: None,
             qos: None,
+            batch_scratch: BatchScratch::default(),
         }
     }
 
@@ -587,6 +637,31 @@ impl LogicalPool {
         ops: &[BatchOp],
         band: Band,
     ) -> Result<BatchResult, PoolError> {
+        // The scratch buffers leave `self` for the call so the body can
+        // borrow them beside `&mut self`; they come back on every path.
+        let mut scratch = std::mem::take(&mut self.batch_scratch);
+        let r = self.access_batch_with(fabric, now, requester, ops, band, &mut scratch);
+        self.batch_scratch = scratch;
+        r
+    }
+
+    fn access_batch_with(
+        &mut self,
+        fabric: &mut Fabric,
+        now: SimTime,
+        requester: NodeId,
+        ops: &[BatchOp],
+        band: Band,
+        scratch: &mut BatchScratch,
+    ) -> Result<BatchResult, PoolError> {
+        let BatchScratch {
+            locs,
+            chunks,
+            frames,
+            runs,
+            sizes,
+            stream_ops,
+        } = scratch;
         if ops.is_empty() {
             return Ok(BatchResult {
                 complete: now,
@@ -604,12 +679,22 @@ impl LogicalPool {
         if self.nodes[requester.0 as usize].is_failed() {
             return Err(PoolError::ServerDown(requester));
         }
-        let mut locs: BTreeMap<SegmentId, SegmentLoc> = BTreeMap::new();
-        let mut op_faults = vec![0u32; ops.len()];
+        // Per-op outcomes double as the fault tally: each distinct segment's
+        // fault lands on the first op that touches it.
+        let mut per_op = vec![
+            PoolAccess {
+                complete: now,
+                local_bytes: 0,
+                remote_bytes: 0,
+                faults: 0,
+            };
+            ops.len()
+        ];
+        locs.clear();
         for (i, o) in ops.iter().enumerate() {
-            if locs.contains_key(&o.addr.segment) {
+            let Err(pos) = locs.binary_search_by_key(&o.addr.segment, |&(s, _)| s) else {
                 continue;
-            }
+            };
             let (loc, faults) = self.translate(requester, o.addr.segment)?;
             if self.nodes[loc.server.0 as usize].is_failed() {
                 return Err(PoolError::SegmentLost(o.addr.segment));
@@ -626,74 +711,60 @@ impl LogicalPool {
                     return Err(PoolError::SegmentLost(o.addr.segment));
                 }
             }
-            locs.insert(o.addr.segment, loc);
-            op_faults[i] = faults;
+            locs.insert(pos, (o.addr.segment, loc));
+            per_op[i].faults = faults;
         }
 
-        // ---- plan: shared frame walk, then (holder, direction) streams ----
-        struct Chunk {
-            op: usize,
-            seg: SegmentId,
-            /// Byte offset within the segment (for adjacency detection).
-            start: u64,
-            bytes: u64,
-            frame: lmp_mem::FrameId,
-        }
-        let mut chunks: Vec<Chunk> = Vec::new();
-        let mut streams: std::collections::BTreeMap<(u32, bool), Vec<usize>> =
-            std::collections::BTreeMap::new();
+        // ---- plan: shared frame walk, sorted into (holder, direction)
+        // streams, each stream ordered by segment position ----
+        chunks.clear();
         for (i, o) in ops.iter().enumerate() {
-            let holder = locs[&o.addr.segment].server;
+            let holder = match locs.binary_search_by_key(&o.addr.segment, |&(s, _)| s) {
+                Ok(at) => locs[at].1.server,
+                Err(_) => return Err(PoolError::Internal("batch op lost its translation")),
+            };
             for (frame_idx, within, chunk) in frame_chunks(o.addr, o.len) {
                 let frame = self.locals[holder.0 as usize]
                     .resolve(o.addr.segment, frame_idx)
                     .ok_or(PoolError::Internal("fine map missing frame of live segment"))?;
-                streams
-                    .entry((holder.0, matches!(o.op, MemOp::Write)))
-                    .or_default()
-                    .push(chunks.len());
                 chunks.push(Chunk {
-                    op: i,
+                    holder: holder.0,
+                    write: matches!(o.op, MemOp::Write),
                     seg: o.addr.segment,
                     start: frame_idx * FRAME_BYTES + within,
+                    op: i,
                     bytes: chunk,
                     frame,
                 });
             }
         }
+        // (holder, write, seg, start, op) is unique per chunk, so the
+        // unstable sort is deterministic.
+        chunks.sort_unstable_by_key(|c| (c.holder, c.write, c.seg, c.start, c.op));
+        frames.clear();
+        frames.extend(chunks.iter().map(|c| c.frame));
 
         // ---- commit: per-stream runs, DRAM, then the fabric stream ----
-        let mut per_op = vec![
-            PoolAccess {
-                complete: now,
-                local_bytes: 0,
-                remote_bytes: 0,
-                faults: 0,
-            };
-            ops.len()
-        ];
         let mut dram_done = now;
-        // Per-holder completion: the max over that holder's streams. Kept in
-        // a BTreeMap so the emitted list is ordered by node id — one
-        // schedulable completion event per holder, deterministically.
-        let mut holder_done: BTreeMap<u32, SimTime> = BTreeMap::new();
-        for ((holder_idx, is_write), mut members) in streams {
+        // Per-holder completion: the max over that holder's streams, one
+        // entry per holder in node-id order (streams arrive sorted by
+        // holder) — one schedulable completion event per holder.
+        let mut holder_done: Vec<(NodeId, SimTime)> = Vec::new();
+        let mut lo = 0;
+        while lo < chunks.len() {
+            let (holder_idx, is_write) = (chunks[lo].holder, chunks[lo].write);
+            let hi = chunks[lo..]
+                .iter()
+                .position(|c| (c.holder, c.write) != (holder_idx, is_write))
+                .map_or(chunks.len(), |n| lo + n);
+            let stream = &chunks[lo..hi];
             let holder = NodeId(holder_idx);
             let local = holder == requester;
-            // Coalesce byte-contiguous chunks (ordered by segment position)
-            // into runs of at most one frame, so a run is a realistic DRAM
-            // burst and fabric streams keep chunk-level wire pipelining.
-            members.sort_by_key(|&ci| (chunks[ci].seg, chunks[ci].start, chunks[ci].op));
-            struct Run {
-                seg: SegmentId,
-                end: u64,
-                bytes: u64,
-                frames: Vec<lmp_mem::FrameId>,
-                members: Vec<usize>,
-            }
-            let mut runs: Vec<Run> = Vec::new();
-            for &ci in &members {
-                let c = &chunks[ci];
+            // Coalesce byte-contiguous chunks into runs of at most one
+            // frame, so a run is a realistic DRAM burst and fabric streams
+            // keep chunk-level wire pipelining.
+            runs.clear();
+            for (ci, c) in (lo..hi).zip(stream) {
                 match runs.last_mut() {
                     Some(r)
                         if r.seg == c.seg
@@ -702,15 +773,16 @@ impl LogicalPool {
                     {
                         r.end += c.bytes;
                         r.bytes += c.bytes;
-                        r.frames.push(c.frame);
-                        r.members.push(ci);
+                        r.hi = ci + 1;
                     }
                     _ => runs.push(Run {
                         seg: c.seg,
                         end: c.start + c.bytes,
                         bytes: c.bytes,
-                        frames: vec![c.frame],
-                        members: vec![ci],
+                        lo: ci,
+                        hi: ci + 1,
+                        dram: now,
+                        done: now,
                     }),
                 }
             }
@@ -719,29 +791,27 @@ impl LogicalPool {
             // cache-line streams pipeline in hardware); each pre-coalescing
             // chunk still contributes its hotness sample and pool counter,
             // so accounting matches a one-by-one issue order exactly.
-            let mut run_dram: Vec<SimTime> = Vec::with_capacity(runs.len());
-            for r in &runs {
+            for r in runs.iter_mut() {
                 let d = self.nodes[holder_idx as usize].access_run(
                     now,
                     r.bytes,
                     requester.0,
                     local,
-                    &r.frames,
+                    &frames[r.lo..r.hi],
                 );
-                run_dram.push(d.complete);
+                r.dram = d.complete;
+                r.done = d.complete;
             }
-            for _ in &members {
-                if local {
-                    self.local_accesses.inc();
-                } else {
-                    self.remote_accesses.inc();
-                }
+            if local {
+                self.local_accesses.add(stream.len() as u64);
+            } else {
+                self.remote_accesses.add(stream.len() as u64);
             }
-            let mut run_complete = run_dram.clone();
             if !local {
-                let sizes: Vec<u64> = runs.iter().map(|r| r.bytes).collect();
-                let mut stream_ops: Vec<usize> =
-                    members.iter().map(|&ci| chunks[ci].op).collect();
+                sizes.clear();
+                sizes.extend(runs.iter().map(|r| r.bytes));
+                stream_ops.clear();
+                stream_ops.extend(stream.iter().map(|c| c.op));
                 stream_ops.sort_unstable();
                 stream_ops.dedup();
                 let op = if is_write { MemOp::Write } else { MemOp::Read };
@@ -753,7 +823,7 @@ impl LogicalPool {
                         requester,
                         holder,
                         op,
-                        &sizes,
+                        sizes,
                         stream_ops.len() as u64,
                         band,
                     )
@@ -762,19 +832,20 @@ impl LogicalPool {
                         FabricError::HolderDown(_) => PoolError::SegmentLost(runs[0].seg),
                         FabricError::Contract(why) => PoolError::Internal(why),
                     })?;
-                for (ri, &done) in bt.chunk_done.iter().enumerate() {
-                    run_complete[ri] = run_complete[ri].max(done);
+                for (r, &done) in runs.iter_mut().zip(bt.chunk_done.iter()) {
+                    r.done = r.done.max(done);
                 }
             }
-            let stream_done = run_complete.iter().copied().max().unwrap_or(now);
-            let hd = holder_done.entry(holder_idx).or_insert(stream_done);
-            *hd = (*hd).max(stream_done);
-            for (ri, r) in runs.iter().enumerate() {
-                dram_done = dram_done.max(run_dram[ri]);
-                for &ci in &r.members {
-                    let c = &chunks[ci];
+            let stream_done = runs.iter().map(|r| r.done).max().unwrap_or(now);
+            match holder_done.last_mut() {
+                Some((h, t)) if *h == holder => *t = (*t).max(stream_done),
+                _ => holder_done.push((holder, stream_done)),
+            }
+            for r in runs.iter() {
+                dram_done = dram_done.max(r.dram);
+                for c in &chunks[r.lo..r.hi] {
                     let a = &mut per_op[c.op];
-                    a.complete = a.complete.max(run_complete[ri]);
+                    a.complete = a.complete.max(r.done);
                     if local {
                         a.local_bytes += c.bytes;
                     } else {
@@ -782,34 +853,26 @@ impl LogicalPool {
                     }
                 }
             }
+            lo = hi;
         }
 
         let mut result = BatchResult {
             complete: now,
-            ops: Vec::with_capacity(ops.len()),
+            ops: Vec::new(),
             local_bytes: 0,
             remote_bytes: 0,
             faults: 0,
-            holder_done: holder_done
-                .into_iter()
-                .map(|(h, t)| (NodeId(h), t))
-                .collect(),
+            holder_done,
         };
-        for (i, mut a) in per_op.into_iter().enumerate() {
-            a.faults = op_faults[i];
+        for a in &per_op {
             result.complete = result.complete.max(a.complete);
             result.local_bytes += a.local_bytes;
             result.remote_bytes += a.remote_bytes;
             result.faults += a.faults;
-            result.ops.push(a);
         }
+        result.ops = per_op;
         if let Some(t) = self.telemetry.as_deref_mut() {
-            let pairs: Vec<(MemOp, PoolAccess)> = ops
-                .iter()
-                .zip(&result.ops)
-                .map(|(o, a)| (o.op, *a))
-                .collect();
-            t.on_batch(now, requester, &pairs, dram_done, result.complete);
+            t.on_batch(now, requester, ops, &result.ops, dram_done, result.complete);
         }
         Ok(result)
     }
@@ -854,11 +917,12 @@ impl LogicalPool {
             let frame = self.locals[loc.server.0 as usize]
                 .resolve(addr.segment, frame_idx)
                 .ok_or(PoolError::Internal("fine map missing frame of live segment"))?;
-            out.extend(self.nodes[loc.server.0 as usize].read_bytes(
+            self.nodes[loc.server.0 as usize].read_bytes_into(
                 frame,
                 within,
                 chunk as usize,
-            ));
+                &mut out,
+            );
         }
         Ok(out)
     }

@@ -31,7 +31,7 @@ pub struct FabricCompletion {
 }
 
 /// Completion report for one coalesced batch stream
-/// ([`Fabric::transfer_batch`]).
+/// ([`Fabric::transfer_batch_banded`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BatchTransfer {
     /// Instant the whole stream is complete at the requester. For writes
@@ -111,9 +111,6 @@ pub struct Fabric {
     /// Directed links: index `2n` is node n's up wire, `2n+1` its down wire.
     links: Vec<Link>,
     node_count: u32,
-    /// Extra per-hop switch latency (0 by default: the profile's endpoints
-    /// already include the switch, as in Table 2 / Pond).
-    switch_latency: SimDuration,
     /// Per-node port state: `true` while the node is off the fabric
     /// (crashed or partitioned). Fault injection toggles this.
     port_down: Vec<bool>,
@@ -145,7 +142,6 @@ impl Fabric {
             profile,
             links,
             node_count,
-            switch_latency: SimDuration::ZERO,
             port_down: vec![false; node_count as usize],
             latency_factor: vec![1.0; node_count as usize],
             bands: None,
@@ -154,12 +150,6 @@ impl Fabric {
             probes: Counter::new(),
             read_latency: Histogram::new(),
         }
-    }
-
-    /// Add extra per-hop switch latency (for exploring deeper fabrics).
-    pub fn with_switch_latency(mut self, lat: SimDuration) -> Self {
-        self.switch_latency = lat;
-        self
     }
 
     /// Enable weighted priority-band queueing on every link. Off by
@@ -282,8 +272,11 @@ impl Fabric {
         self.latency_factor[node.0 as usize]
     }
 
-    fn path_latency_factor(&self, a: NodeId, b: NodeId) -> f64 {
-        self.latency_factor[a.0 as usize].max(self.latency_factor[b.0 as usize])
+    /// End-to-end loaded latency of the `a`↔`b` path at bottleneck
+    /// utilization `u`, stretched by the worse endpoint's degradation.
+    fn path_latency(&self, u: f64, a: NodeId, b: NodeId) -> SimDuration {
+        let factor = self.latency_factor[a.0 as usize].max(self.latency_factor[b.0 as usize]);
+        self.profile.curve.at(u).mul_f64(factor)
     }
 
     fn check_ports(&self, requester: NodeId, holder: NodeId) -> Result<(), FabricError> {
@@ -352,8 +345,7 @@ impl Fabric {
         self.reads.inc();
         // Bottleneck utilization along the data path, sampled pre-admission.
         let u = self.path_utilization(now, requester, holder);
-        let latency = (self.profile.curve.at(u) + self.switch_latency * 2)
-            .mul_f64(self.path_latency_factor(requester, holder));
+        let latency = self.path_latency(u, requester, holder);
 
         // Request flits.
         let r_up = self.up_index(requester);
@@ -409,8 +401,7 @@ impl Fabric {
         let q2 = self.links[self.down_index(holder)].free_at(q1).max(q1) + flit;
         let d1 = self.links[self.up_index(holder)].free_at(q2).max(q2) + wire;
         let d2 = self.links[self.down_index(requester)].free_at(d1).max(d1) + wire;
-        let latency = (self.profile.curve.at(0.0) + self.switch_latency * 2)
-            .mul_f64(self.path_latency_factor(requester, holder));
+        let latency = self.path_latency(0.0, requester, holder);
         Some(d2 + latency)
     }
 
@@ -450,10 +441,8 @@ impl Fabric {
         self.reads.add(2);
         let u_p = self.path_utilization(now, requester, primary);
         let u_h = self.path_utilization(now, requester, hedge);
-        let lat_p = (self.profile.curve.at(u_p) + self.switch_latency * 2)
-            .mul_f64(self.path_latency_factor(requester, primary));
-        let lat_h = (self.profile.curve.at(u_h) + self.switch_latency * 2)
-            .mul_f64(self.path_latency_factor(requester, hedge));
+        let lat_p = self.path_latency(u_p, requester, primary);
+        let lat_h = self.path_latency(u_h, requester, hedge);
 
         // Two request flits leave the requester back to back; each holder
         // then transmits the payload on its own up wire.
@@ -543,8 +532,7 @@ impl Fabric {
         self.check_ports(requester, holder)?;
         self.writes.inc();
         let u = self.path_utilization(now, requester, holder);
-        let latency = (self.profile.curve.at(u) + self.switch_latency * 2)
-            .mul_f64(self.path_latency_factor(requester, holder));
+        let latency = self.path_latency(u, requester, holder);
 
         let r_up = self.up_index(requester);
         let h_down = self.down_index(holder);
@@ -589,24 +577,12 @@ impl Fabric {
     /// the counters track logical operations served, which upper layers'
     /// conservation checks compare against per-op access counts.
     ///
+    /// With bands disabled (the default) `band` is ignored and the wire
+    /// schedule is plain FIFO.
+    ///
     /// Returns [`FabricError::Contract`] for a self-transfer, an empty
     /// chunk list, or zero `ops`.
-    pub fn transfer_batch(
-        &mut self,
-        now: SimTime,
-        requester: NodeId,
-        holder: NodeId,
-        op: MemOp,
-        chunks: &[u64],
-        ops: u64,
-    ) -> Result<BatchTransfer, FabricError> {
-        self.transfer_batch_banded(now, requester, holder, op, chunks, ops, Band::Normal)
-    }
-
-    /// [`Fabric::transfer_batch`] with an explicit priority band. With
-    /// bands disabled (the default) the band is ignored and the wire
-    /// schedule is byte-identical to [`Fabric::transfer_batch`].
-    #[allow(clippy::too_many_arguments)] // mirrors transfer_batch plus the band
+    #[allow(clippy::too_many_arguments)] // the stream's endpoints, chunks, op count and band
     pub fn transfer_batch_banded(
         &mut self,
         now: SimTime,
@@ -636,8 +612,7 @@ impl Fabric {
             MemOp::Write => self.writes.add(ops),
         }
         let u = self.path_utilization(now, requester, holder);
-        let latency = (self.profile.curve.at(u) + self.switch_latency * 2)
-            .mul_f64(self.path_latency_factor(requester, holder));
+        let latency = self.path_latency(u, requester, holder);
 
         let r_up = self.up_index(requester);
         let r_down = self.down_index(requester);
@@ -706,8 +681,7 @@ impl Fabric {
         self.check_ports(prober, target)?;
         self.probes.inc();
         let u = self.path_utilization(now, prober, target);
-        let latency = (self.profile.curve.at(u) + self.switch_latency * 2)
-            .mul_f64(self.path_latency_factor(prober, target));
+        let latency = self.path_latency(u, prober, target);
 
         // Probes are control traffic: with bands enabled they ride the
         // high-priority band, so failure detection stays responsive even
@@ -1067,7 +1041,15 @@ mod tests {
         let mut b = Fabric::new(LinkProfile::link1(), 3);
         let single = a.try_read(t(0), NodeId(0), NodeId(1), 4096).unwrap();
         let batch = b
-            .transfer_batch(t(0), NodeId(0), NodeId(1), MemOp::Read, &[4096], 1)
+            .transfer_batch_banded(
+                t(0),
+                NodeId(0),
+                NodeId(1),
+                MemOp::Read,
+                &[4096],
+                1,
+                Band::Normal,
+            )
             .unwrap();
         assert_eq!(batch.complete, single.complete);
         assert_eq!(batch.latency, single.latency);
@@ -1075,9 +1057,18 @@ mod tests {
 
         let ws = a.try_write(t(0), NodeId(0), NodeId(2), 4096).unwrap();
         let wb = b
-            .transfer_batch(t(0), NodeId(0), NodeId(2), MemOp::Write, &[4096], 1)
+            .transfer_batch_banded(
+                t(0),
+                NodeId(0),
+                NodeId(2),
+                MemOp::Write,
+                &[4096],
+                1,
+                Band::Normal,
+            )
             .unwrap();
         assert_eq!(wb.complete, ws.complete);
+        assert_eq!(wb.chunk_done, vec![wb.complete]);
     }
 
     #[test]
@@ -1091,13 +1082,14 @@ mod tests {
         }
         let mut batched = Fabric::new(LinkProfile::link1(), 2);
         let bt = batched
-            .transfer_batch(
+            .transfer_batch_banded(
                 t(0),
                 NodeId(0),
                 NodeId(1),
                 MemOp::Read,
                 &vec![chunk; n],
                 n as u64,
+                Band::Normal,
             )
             .unwrap();
         assert!(
@@ -1114,10 +1106,26 @@ mod tests {
     #[test]
     fn batch_counters_track_logical_ops() {
         let mut f = Fabric::new(LinkProfile::link0(), 3);
-        f.transfer_batch(t(0), NodeId(0), NodeId(1), MemOp::Read, &[64, 64], 5)
-            .unwrap();
-        f.transfer_batch(t(0), NodeId(0), NodeId(2), MemOp::Write, &[64], 3)
-            .unwrap();
+        f.transfer_batch_banded(
+            t(0),
+            NodeId(0),
+            NodeId(1),
+            MemOp::Read,
+            &[64, 64],
+            5,
+            Band::Normal,
+        )
+        .unwrap();
+        f.transfer_batch_banded(
+            t(0),
+            NodeId(0),
+            NodeId(2),
+            MemOp::Write,
+            &[64],
+            3,
+            Band::Normal,
+        )
+        .unwrap();
         assert_eq!(f.read_count(), 5, "reads counter carries the op count");
         assert_eq!(f.write_count(), 3);
         // One stream, one latency record.
@@ -1129,11 +1137,19 @@ mod tests {
         let mut f = Fabric::new(LinkProfile::link0(), 3);
         f.set_port_down(NodeId(1), true);
         assert_eq!(
-            f.transfer_batch(t(0), NodeId(0), NodeId(1), MemOp::Read, &[64], 1),
+            f.transfer_batch_banded(t(0), NodeId(0), NodeId(1), MemOp::Read, &[64], 1, Band::Normal),
             Err(FabricError::HolderDown(NodeId(1)))
         );
         assert_eq!(
-            f.transfer_batch(t(0), NodeId(1), NodeId(2), MemOp::Write, &[64], 1),
+            f.transfer_batch_banded(
+                t(0),
+                NodeId(1),
+                NodeId(2),
+                MemOp::Write,
+                &[64],
+                1,
+                Band::Normal
+            ),
             Err(FabricError::RequesterDown(NodeId(1)))
         );
         // Failed streams leave the counters untouched.
@@ -1174,8 +1190,16 @@ mod tests {
             .try_read_banded(t(0), NodeId(0), NodeId(1), 4096, Band::Normal)
             .unwrap();
         let mut fifo = Fabric::new(LinkProfile::link1(), 3);
-        fifo.transfer_batch(t(0), NodeId(0), NodeId(1), MemOp::Write, &[2_100_000], 1)
-            .unwrap();
+        fifo.transfer_batch_banded(
+            t(0),
+            NodeId(0),
+            NodeId(1),
+            MemOp::Write,
+            &[2_100_000],
+            1,
+            Band::Normal,
+        )
+        .unwrap();
         let c_fifo = fifo.try_read(t(0), NodeId(0), NodeId(1), 4096).unwrap();
         assert!(
             c.complete < c_fifo.complete,

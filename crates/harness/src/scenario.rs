@@ -197,6 +197,24 @@ const SEG_BYTES: u64 = 2 * FRAME_BYTES;
 /// t=0 mirror copies drain the victim's up-wire well before the first
 /// probe: the backlog the probes then see is the flood's alone.
 const HEDGE_SEG_BYTES: u64 = 16 * 1024;
+/// The hedged flood's congested holder: it homes the hedge probe
+/// segments, and two bulk reads fill its up-wire from 8 µs to ~33 µs.
+const FLOOD_VICTIM: NodeId = NodeId(1);
+/// The node that issues the flood's bulk reads; its down-wire carries the
+/// payload until ~45 µs.
+///
+/// Wire reservations are strict FIFO, so a flit that queues behind the
+/// flood reserves every later wire on its path at the flood's drain
+/// horizon, and each of those wires then fences whatever crosses it next.
+/// The random workload must therefore stay off both flooded wires: the
+/// sink homes no workload segment (a read from it, or a write's
+/// completion flit, would carry the fence on to the requester's down
+/// wire), and the victim issues no workload op (its request flits queue
+/// behind the flood payload on its own up wire). Otherwise a workload op
+/// that crosses them just before the 10 µs probe can fence the twin's
+/// wires too — a read of a segment on the sink from the twin's home
+/// fences that home's down wire — and the hedge races but never wins.
+const FLOOD_SINK: NodeId = NodeId(4);
 const HORIZON: SimDuration = SimDuration::from_micros(30);
 const DETECTION_DELAY: SimDuration = SimDuration::from_micros(2);
 const OPS: u64 = 60;
@@ -400,10 +418,11 @@ impl World {
             // The flood victim (node 1) homes only the small hedge probe
             // segments, added below; the workload segments stay off it so
             // the flood and crash windows are entirely the hedges' story.
-            // Node 4 is left emptiest so both mirror twins land there —
-            // off every flooded wire.
+            // Nodes 3 and 4 stay empty: both mirror twins land on node 3
+            // (the lowest-id freest host), and node 4 sinks the flood.
+            // Neither homes workload data — see [`FLOOD_SINK`].
             Scenario::HedgedFlood => {
-                vec![(0, Prot::None), (2, Prot::None), (3, Prot::None)]
+                vec![(0, Prot::None), (2, Prot::None), (2, Prot::None)]
             }
         };
         for (i, &(home, _)) in layout.iter().enumerate() {
@@ -452,7 +471,7 @@ impl World {
             // touches them.
             for i in 0..2u64 {
                 let seg = pool
-                    .alloc(HEDGE_SEG_BYTES, Placement::On(NodeId(1)))
+                    .alloc(HEDGE_SEG_BYTES, Placement::On(FLOOD_VICTIM))
                     .expect("setup hedge segment");
                 let mut content_rng = rng.fork_indexed("hedge-content", i);
                 let data: Vec<u8> = (0..HEDGE_SEG_BYTES)
@@ -531,17 +550,23 @@ impl World {
                 // The flood (scheduled as engine events) runs 8–33 µs;
                 // mid-flood the victim crashes outright, and rejoins cold
                 // after the orchestrator has promoted both twins.
-                plan.push(us(12), Fault::ServerCrash(NodeId(1)));
-                plan.push(us(24), Fault::ServerRestart(NodeId(1)));
+                plan.push(us(12), Fault::ServerCrash(FLOOD_VICTIM));
+                plan.push(us(24), Fault::ServerRestart(FLOOD_VICTIM));
             }
         }
 
-        // The seeded workload.
+        // The seeded workload. In the hedged flood the victim issues
+        // nothing (see [`FLOOD_SINK`]); every other scenario draws from
+        // all servers.
+        let requesters: Vec<NodeId> = (0..servers)
+            .map(NodeId)
+            .filter(|&n| scenario != Scenario::HedgedFlood || n != FLOOD_VICTIM)
+            .collect();
         let mut wl = rng.fork("workload");
         let ops = (0..OPS)
             .map(|_| {
                 let at = SimTime::from_nanos(wl.below(HORIZON.as_nanos()));
-                let requester = NodeId(wl.below(servers as u64) as u32);
+                let requester = requesters[wl.below(requesters.len() as u64) as usize];
                 let seg_idx = wl.below(segments.len() as u64) as usize;
                 // The port-drop scenario issues only frame-spanning ops
                 // (len > FRAME_BYTES guarantees a two-chunk walk), so every
@@ -1758,8 +1783,8 @@ pub fn run_scenario(scenario: Scenario, seed: u64) -> ChaosReport {
         // and one after promotion and rejoin (fast path again).
         for at_us in [8u64, 9] {
             eng.schedule_at(SimTime::from_nanos(at_us * 1000), Ev::Flood {
-                from: NodeId(3),
-                holder: NodeId(1),
+                from: FLOOD_SINK,
+                holder: FLOOD_VICTIM,
                 bytes: 256 * 1024,
             })
             .expect("flood times are within the horizon");

@@ -153,3 +153,21 @@ fn seeds_vary_the_trace() {
     unique.dedup();
     assert_eq!(unique.len(), digests.len(), "digest collision across seeds");
 }
+
+/// Hedged flood at the seeds whose random workload used to cross the
+/// flooded wires before the in-flood probe (the victim's own reads queued
+/// behind the flood, or a read of the flood sink's segment): the strict
+/// FIFO wires carried the flood's drain horizon onto the mirror twin's
+/// path, so the hedge raced but never won. The hedge must now win.
+#[test]
+fn hedged_flood_twin_wins_at_former_fence_seeds() {
+    for seed in [9, 19] {
+        let r = run_twice(Scenario::HedgedFlood, seed);
+        let raced_won = r
+            .trace
+            .entries()
+            .iter()
+            .any(|(_, e)| e.contains("raced, Hedge won"));
+        assert!(raced_won, "seed {seed}: no probe raced and won on the twin");
+    }
+}

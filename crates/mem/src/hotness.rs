@@ -21,17 +21,6 @@ pub struct HotnessMap {
     epoch: u64,
 }
 
-/// A frame ranked hot for some accessor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HotFrame {
-    /// The frame.
-    pub frame: FrameId,
-    /// Who is hitting it.
-    pub accessor: AccessorId,
-    /// Decayed access count.
-    pub count: u64,
-}
-
 impl HotnessMap {
     /// An empty map.
     pub fn new() -> Self {
@@ -95,30 +84,6 @@ impl HotnessMap {
         self.epoch
     }
 
-    /// The `k` hottest (frame, accessor) pairs, hottest first, with a
-    /// deterministic tie order (by count desc, then frame, then accessor).
-    pub fn top_k(&self, k: usize) -> Vec<HotFrame> {
-        let mut all: Vec<HotFrame> = self
-            .counts
-            .iter()
-            .flat_map(|(f, per_acc)| {
-                per_acc.iter().map(|(a, c)| HotFrame {
-                    frame: *f,
-                    accessor: *a,
-                    count: *c,
-                })
-            })
-            .collect();
-        all.sort_by(|x, y| {
-            y.count
-                .cmp(&x.count)
-                .then(x.frame.cmp(&y.frame))
-                .then(x.accessor.cmp(&y.accessor))
-        });
-        all.truncate(k);
-        all
-    }
-
     /// Forget a frame entirely (it was freed or migrated away).
     pub fn forget(&mut self, frame: FrameId) {
         self.counts.remove(&frame);
@@ -174,18 +139,6 @@ mod tests {
     }
 
     #[test]
-    fn top_k_orders_deterministically() {
-        let mut h = HotnessMap::new();
-        h.record(FrameId(1), 0, 10);
-        h.record(FrameId(2), 1, 10);
-        h.record(FrameId(3), 0, 99);
-        let top = h.top_k(2);
-        assert_eq!(top[0].frame, FrameId(3));
-        // Tie between frames 1 and 2 resolved by frame id.
-        assert_eq!(top[1].frame, FrameId(1));
-    }
-
-    #[test]
     fn dominant_accessor_tie_breaks_low_id() {
         let mut h = HotnessMap::new();
         h.record(FrameId(7), 3, 5);
@@ -199,6 +152,6 @@ mod tests {
         h.record(FrameId(9), 0, 5);
         h.forget(FrameId(9));
         assert_eq!(h.total(FrameId(9)), 0);
-        assert!(h.top_k(10).is_empty());
+        assert_eq!(h.dominant_accessor(FrameId(9)), None);
     }
 }

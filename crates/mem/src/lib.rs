@@ -26,7 +26,7 @@ pub mod store;
 
 pub use dram::{DramChannel, DramCompletion, DramProfile};
 pub use frame::{FrameAllocator, FrameError, FrameId, FRAME_BYTES};
-pub use hotness::{AccessorId, HotFrame, HotnessMap};
+pub use hotness::{AccessorId, HotnessMap};
 pub use node::MemoryNode;
 pub use region::{RegionError, RegionKind, RegionSplit};
 pub use store::FrameStore;

@@ -165,11 +165,11 @@ impl MemoryNode {
         self.store.write(frame, offset, data);
     }
 
-    /// Materialized-byte read from an allocated frame.
+    /// Materialized-byte read from an allocated frame, appended to `out`.
     ///
     /// # Panics
     /// Panics on unallocated frames or crashed nodes.
-    pub fn read_bytes(&self, frame: FrameId, offset: u64, len: usize) -> Vec<u8> {
+    pub fn read_bytes_into(&self, frame: FrameId, offset: u64, len: usize, out: &mut Vec<u8>) {
         // lmp-lint: allow(no-panic) — hardware-model contract, documented
         // under `# Panics`: upper layers gate on `is_failed()` first.
         assert!(!self.failed, "read from crashed node {}", self.name);
@@ -179,7 +179,7 @@ impl MemoryNode {
             "read from unallocated frame {frame:?} on {}",
             self.name
         );
-        self.store.read(frame, offset, len)
+        self.store.read_into(frame, offset, len, out);
     }
 
     /// Copy out a whole frame (for migration and reconstruction).
@@ -316,6 +316,12 @@ mod tests {
         MemoryNode::new("s0", GIB, GIB / 2, DramProfile::xeon_gold_5120())
     }
 
+    fn read(n: &MemoryNode, f: FrameId, len: usize) -> Vec<u8> {
+        let mut out = Vec::new();
+        n.read_bytes_into(f, 0, len, &mut out);
+        out
+    }
+
     #[test]
     fn capacity_accounting() {
         let n = node();
@@ -375,11 +381,11 @@ mod tests {
         let mut n = node();
         let f = n.alloc(RegionKind::Private).unwrap();
         n.write_bytes(f, 0, b"data");
-        assert_eq!(n.read_bytes(f, 0, 4), b"data");
+        assert_eq!(read(&n, f, 4), b"data");
         n.free(f).unwrap();
         let f2 = n.alloc(RegionKind::Private).unwrap();
         assert_eq!(f2, f, "lowest-first reuse");
-        assert_eq!(n.read_bytes(f2, 0, 4), vec![0; 4], "no stale data leak");
+        assert_eq!(read(&n, f2, 4), vec![0; 4], "no stale data leak");
     }
 
     #[test]
@@ -401,7 +407,7 @@ mod tests {
         // All frames free again; data gone.
         assert_eq!(n.split().shared_used(), 0);
         let f2 = n.alloc(RegionKind::Shared).unwrap();
-        assert_eq!(n.read_bytes(f2, 0, 8), vec![0; 8]);
+        assert_eq!(read(&n, f2, 8), vec![0; 8]);
     }
 
     #[test]

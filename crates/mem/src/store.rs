@@ -46,12 +46,13 @@ impl FrameStore {
         backing[offset as usize..offset as usize + data.len()].copy_from_slice(data);
     }
 
-    /// Read `len` bytes from `frame` starting at `offset`. Unmaterialized
-    /// frames read as zeros (fresh memory).
+    /// Append `len` bytes of `frame` starting at `offset` to `out`, so a
+    /// multi-frame read fills one buffer. Unmaterialized frames read as
+    /// zeros (fresh memory).
     ///
     /// # Panics
     /// Panics when the read would cross the frame boundary.
-    pub fn read(&self, frame: FrameId, offset: u64, len: usize) -> Vec<u8> {
+    pub fn read_into(&self, frame: FrameId, offset: u64, len: usize, out: &mut Vec<u8>) {
         // lmp-lint: allow(no-panic) — documented `# Panics` frame-boundary
         // contract, mirroring how hardware faults on cross-line reads.
         assert!(
@@ -59,14 +60,16 @@ impl FrameStore {
             "read crosses frame boundary: offset {offset} + {len} > {FRAME_BYTES}"
         );
         match self.frames.get(&frame) {
-            Some(b) => b[offset as usize..offset as usize + len].to_vec(),
-            None => vec![0u8; len],
+            Some(b) => out.extend_from_slice(&b[offset as usize..offset as usize + len]),
+            None => out.resize(out.len() + len, 0),
         }
     }
 
     /// Copy a whole frame's contents out (zeros if unmaterialized).
     pub fn read_frame(&self, frame: FrameId) -> Vec<u8> {
-        self.read(frame, 0, FRAME_BYTES as usize)
+        let mut out = Vec::with_capacity(FRAME_BYTES as usize);
+        self.read_into(frame, 0, FRAME_BYTES as usize, &mut out);
+        out
     }
 
     /// Replace a whole frame's contents.
@@ -90,10 +93,16 @@ impl FrameStore {
 mod tests {
     use super::*;
 
+    fn read(s: &FrameStore, frame: FrameId, offset: u64, len: usize) -> Vec<u8> {
+        let mut out = Vec::new();
+        s.read_into(frame, offset, len, &mut out);
+        out
+    }
+
     #[test]
     fn unmaterialized_reads_zero() {
         let s = FrameStore::new();
-        assert_eq!(s.read(FrameId(0), 100, 4), vec![0; 4]);
+        assert_eq!(read(&s, FrameId(0), 100, 4), vec![0; 4]);
         assert_eq!(s.materialized(), 0);
     }
 
@@ -101,9 +110,19 @@ mod tests {
     fn write_then_read() {
         let mut s = FrameStore::new();
         s.write(FrameId(3), 10, b"hello");
-        assert_eq!(s.read(FrameId(3), 10, 5), b"hello");
-        assert_eq!(s.read(FrameId(3), 9, 1), [0]);
+        assert_eq!(read(&s, FrameId(3), 10, 5), b"hello");
+        assert_eq!(read(&s, FrameId(3), 9, 1), [0]);
         assert_eq!(s.materialized(), 1);
+    }
+
+    #[test]
+    fn read_into_appends() {
+        let mut s = FrameStore::new();
+        s.write(FrameId(1), 0, b"ab");
+        let mut out = b"x".to_vec();
+        s.read_into(FrameId(1), 0, 2, &mut out);
+        s.read_into(FrameId(2), 0, 2, &mut out);
+        assert_eq!(out, b"xab\0\0");
     }
 
     #[test]
@@ -111,8 +130,8 @@ mod tests {
         let mut s = FrameStore::new();
         s.write(FrameId(0), 0, b"aaa");
         s.write(FrameId(1), 0, b"bbb");
-        assert_eq!(s.read(FrameId(0), 0, 3), b"aaa");
-        assert_eq!(s.read(FrameId(1), 0, 3), b"bbb");
+        assert_eq!(read(&s, FrameId(0), 0, 3), b"aaa");
+        assert_eq!(read(&s, FrameId(1), 0, 3), b"bbb");
     }
 
     #[test]
@@ -130,7 +149,7 @@ mod tests {
         let mut s = FrameStore::new();
         s.write(FrameId(2), 0, b"x");
         s.discard(FrameId(2));
-        assert_eq!(s.read(FrameId(2), 0, 1), [0]);
+        assert_eq!(read(&s, FrameId(2), 0, 1), [0]);
     }
 
     #[test]
@@ -144,6 +163,6 @@ mod tests {
     #[should_panic(expected = "crosses frame boundary")]
     fn cross_boundary_read_panics() {
         let s = FrameStore::new();
-        s.read(FrameId(0), FRAME_BYTES - 1, 2);
+        read(&s, FrameId(0), FRAME_BYTES - 1, 2);
     }
 }

@@ -119,7 +119,8 @@ proptest! {
             s.write(FrameId(0), *off, data);
             model[*off as usize..*off as usize + data.len()].copy_from_slice(data);
         }
-        let got = s.read(FrameId(0), 0, model.len());
+        let mut got = Vec::new();
+        s.read_into(FrameId(0), 0, model.len(), &mut got);
         prop_assert_eq!(got, model);
     }
 }

@@ -68,14 +68,41 @@ impl SlidingRate {
 ///
 /// The resource is modelled as busy until `busy_until`; callers extend the
 /// busy period as they admit work.
+///
+/// Closed busy intervals form a ledger that is sorted and disjoint with
+/// gaps (`occupy` only ever starts at or after `busy_until`, and a start
+/// exactly at `busy_until` extends the open interval instead of closing
+/// it). Each ledger entry carries the running total of busy nanoseconds
+/// through its end, so a query is one binary search plus one subtraction
+/// and two integer clips — O(log n) in the intervals held, instead of a
+/// scan of the whole window.
+///
+/// **Eviction follows the latest query, not the earliest.** A query at
+/// `now` drops every closed interval that ends at or before
+/// `now - window`, and a later query at an *earlier* `now` (clients whose
+/// clocks interleave) does not get them back: it counts only what
+/// survived. This is the behaviour every committed digest was recorded
+/// with, and it is kept as is.
 #[derive(Debug, Clone)]
 pub struct BusyTracker {
     window: SimDuration,
-    /// Completed busy intervals (start, end), oldest first.
-    intervals: VecDeque<(SimTime, SimTime)>,
+    /// Closed busy intervals, oldest first.
+    intervals: VecDeque<Busy>,
+    /// Running busy total through the newest closed interval (the `cum`
+    /// the next closed interval builds on). Never reset by eviction.
+    closed_busy: u64,
     busy_until: SimTime,
     busy_from: SimTime,
     has_open: bool,
+}
+
+/// One closed busy interval `[start, end)` of a [`BusyTracker`] ledger.
+#[derive(Debug, Clone, Copy)]
+struct Busy {
+    start: u64,
+    end: u64,
+    /// Busy nanoseconds of every interval ever closed, through `end`.
+    cum: u64,
 }
 
 impl BusyTracker {
@@ -90,6 +117,7 @@ impl BusyTracker {
         BusyTracker {
             window,
             intervals: VecDeque::new(),
+            closed_busy: 0,
             busy_until: SimTime::ZERO,
             busy_from: SimTime::ZERO,
             has_open: false,
@@ -111,7 +139,13 @@ impl BusyTracker {
             self.busy_until = end;
         } else {
             if self.has_open {
-                self.intervals.push_back((self.busy_from, self.busy_until));
+                let (s, e) = (self.busy_from.as_nanos(), self.busy_until.as_nanos());
+                self.closed_busy += e - s;
+                self.intervals.push_back(Busy {
+                    start: s,
+                    end: e,
+                    cum: self.closed_busy,
+                });
             }
             self.busy_from = start;
             self.busy_until = end;
@@ -122,36 +156,34 @@ impl BusyTracker {
 
     /// Fraction of the window `[now - window, now]` the resource was busy,
     /// in `[0, 1]`. Busy time scheduled beyond `now` is not counted.
+    ///
+    /// Evicts closed intervals that end at or before `now - window` first;
+    /// see the type docs for what that means when `now` goes backwards.
     pub fn utilization(&mut self, now: SimTime) -> f64 {
-        let window_start =
-            SimTime::from_nanos(now.as_nanos().saturating_sub(self.window.as_nanos()));
-        // Evict intervals entirely before the window.
-        while let Some(&(_, end)) = self.intervals.front() {
-            if end <= window_start {
-                self.intervals.pop_front();
-            } else {
-                break;
-            }
+        let now_ns = now.as_nanos();
+        let ws = now_ns.saturating_sub(self.window.as_nanos());
+        while self.intervals.front().is_some_and(|iv| iv.end <= ws) {
+            self.intervals.pop_front();
         }
+        // After eviction every interval ends after `ws`, and intervals are
+        // disjoint with gaps, so only the first can start before `ws` and
+        // only the last one starting before `now` can run past `now`.
+        let k = self.intervals.partition_point(|iv| iv.start < now_ns);
         let mut busy = 0u64;
-        for &(s, e) in &self.intervals {
-            let s = s.max(window_start);
-            let e = e.min(now);
-            if e > s {
-                busy += e.duration_since(s).as_nanos();
-            }
+        if k > 0 {
+            let first = self.intervals[0];
+            let last = self.intervals[k - 1];
+            busy = last.cum
+                - (first.cum - (first.end - first.start))
+                - ws.saturating_sub(first.start)
+                - last.end.saturating_sub(now_ns);
         }
         if self.has_open {
-            let s = self.busy_from.max(window_start);
-            let e = self.busy_until.min(now);
-            if e > s {
-                busy += e.duration_since(s).as_nanos();
-            }
+            let s = self.busy_from.as_nanos().max(ws);
+            let e = self.busy_until.as_nanos().min(now_ns);
+            busy += e.saturating_sub(s);
         }
-        let span = now
-            .duration_since(window_start)
-            .as_nanos()
-            .min(self.window.as_nanos());
+        let span = (now_ns - ws).min(self.window.as_nanos());
         if span == 0 {
             return 0.0;
         }
@@ -236,6 +268,38 @@ mod tests {
         b.occupy(t(80), d(20)); // [80,100)
         let u = b.utilization(t(100));
         assert!((u - 0.6).abs() < 1e-9, "u={u}");
+    }
+
+    #[test]
+    fn later_query_evicts_for_earlier_queries() {
+        // Pinned, not endorsed: eviction follows the latest `now` seen, so a
+        // query at an earlier `now` after a later one undercounts. Every
+        // committed digest was recorded with this behaviour.
+        let mut b = BusyTracker::new(d(100));
+        b.occupy(t(0), d(50)); // [0,50)
+        b.occupy(t(200), d(10)); // closes [0,50); open [200,210)
+        assert_eq!(b.utilization(t(100)), 0.5);
+        // Window [60,160]: [0,50) ends before it and is evicted.
+        assert_eq!(b.utilization(t(160)), 0.0);
+        // Back at t=100 the evicted interval is gone for good...
+        assert_eq!(b.utilization(t(100)), 0.0);
+        // ...while a tracker that never saw t=160 still counts it.
+        let mut fresh = BusyTracker::new(d(100));
+        fresh.occupy(t(0), d(50));
+        fresh.occupy(t(200), d(10));
+        assert_eq!(fresh.utilization(t(100)), 0.5);
+        // An interval ending exactly at the window start is evicted too.
+        assert_eq!(fresh.utilization(t(150)), 0.0);
+        assert_eq!(fresh.utilization(t(100)), 0.0);
+    }
+
+    #[test]
+    fn utilization_clips_both_ends_of_one_interval() {
+        let mut b = BusyTracker::new(d(100));
+        b.occupy(t(0), d(1_000)); // [0,1000)
+        b.occupy(t(2_000), d(10)); // closes it
+                                   // Window [400,500] lies inside the one closed interval.
+        assert_eq!(b.utilization(t(500)), 1.0);
     }
 
     #[test]

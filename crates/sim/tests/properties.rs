@@ -5,6 +5,77 @@
 
 use lmp_sim::prelude::*;
 use proptest::prelude::*;
+use std::collections::VecDeque;
+
+/// The linear-scan ledger `BusyTracker` used before its prefix-sum rewrite:
+/// every query walks every closed interval left in the window. Kept here as
+/// the reference the O(log n) ledger must match bit for bit.
+struct LinearBusy {
+    window: u64,
+    intervals: VecDeque<(u64, u64)>,
+    busy_from: u64,
+    busy_until: u64,
+    has_open: bool,
+}
+
+impl LinearBusy {
+    fn new(window: u64) -> Self {
+        LinearBusy {
+            window,
+            intervals: VecDeque::new(),
+            busy_from: 0,
+            busy_until: 0,
+            has_open: false,
+        }
+    }
+
+    fn occupy(&mut self, now: u64, work: u64) -> (u64, u64) {
+        let start = self.busy_until.max(now);
+        let end = start + work;
+        if self.has_open && start == self.busy_until {
+            self.busy_until = end;
+        } else {
+            if self.has_open {
+                self.intervals.push_back((self.busy_from, self.busy_until));
+            }
+            self.busy_from = start;
+            self.busy_until = end;
+            self.has_open = true;
+        }
+        (start, end)
+    }
+
+    fn utilization(&mut self, now: u64) -> f64 {
+        let window_start = now.saturating_sub(self.window);
+        while let Some(&(_, end)) = self.intervals.front() {
+            if end <= window_start {
+                self.intervals.pop_front();
+            } else {
+                break;
+            }
+        }
+        let mut busy = 0u64;
+        for &(s, e) in &self.intervals {
+            let s = s.max(window_start);
+            let e = e.min(now);
+            if e > s {
+                busy += e - s;
+            }
+        }
+        if self.has_open {
+            let s = self.busy_from.max(window_start);
+            let e = self.busy_until.min(now);
+            if e > s {
+                busy += e - s;
+            }
+        }
+        let span = (now - window_start).min(self.window);
+        if span == 0 {
+            return 0.0;
+        }
+        (busy as f64 / span as f64).clamp(0.0, 1.0)
+    }
+}
 
 proptest! {
     /// Events always pop in non-decreasing timestamp order, and equal
@@ -126,6 +197,62 @@ proptest! {
         }
         let u = b.utilization(horizon);
         prop_assert!((0.0..=1.0).contains(&u), "u={u}");
+    }
+
+    /// The prefix-sum ledger answers every query with the same `f64` bits
+    /// as the linear scan it replaced. The op mix covers zero-length work,
+    /// idle gaps longer than the window, back-to-back extensions of the
+    /// open interval, and queries whose `now` goes backwards (four client
+    /// clocks interleaving on one wire).
+    #[test]
+    fn busy_ledger_matches_linear_scan(
+        window in 1u64..400,
+        ops in proptest::collection::vec((0u8..6, 0u64..300, 0u64..120), 1..400),
+    ) {
+        let mut fast = BusyTracker::new(SimDuration::from_nanos(window));
+        let mut slow = LinearBusy::new(window);
+        let mut clock = 0u64;
+        let mut last_end = 0u64;
+        for (kind, step, work) in ops {
+            // Zero-length work one time in four.
+            let work = if work % 4 == 0 { 0 } else { work };
+            let mut occupy_at = None;
+            let mut query_at = None;
+            match kind {
+                // Occupy a little after the clock (may queue behind work).
+                0 => {
+                    clock += step / 4;
+                    occupy_at = Some(clock);
+                }
+                // Extend back to back: start exactly where the last job ended.
+                1 => occupy_at = Some(last_end),
+                // Idle longer than the window, then occupy.
+                2 => {
+                    clock = clock.max(last_end) + window + 1 + step;
+                    occupy_at = Some(clock);
+                }
+                // Query at the clock.
+                3 => {
+                    clock += step / 8;
+                    query_at = Some(clock);
+                }
+                // Query in the past: another client's earlier clock.
+                4 => query_at = Some(clock.saturating_sub(step)),
+                // Query in the future, past queued work.
+                _ => query_at = Some(last_end + step),
+            }
+            if let Some(at) = occupy_at {
+                let a = fast.occupy(SimTime::from_nanos(at), SimDuration::from_nanos(work));
+                let b = slow.occupy(at, work);
+                prop_assert_eq!((a.0.as_nanos(), a.1.as_nanos()), b);
+                last_end = b.1;
+            }
+            if let Some(at) = query_at {
+                let u = fast.utilization(SimTime::from_nanos(at));
+                let r = slow.utilization(at);
+                prop_assert_eq!(u.to_bits(), r.to_bits(), "now={} u={} ref={}", at, u, r);
+            }
+        }
     }
 
     /// Transfer time scales linearly with byte count.
